@@ -7,7 +7,12 @@ benchmark measures the full lemma battery and the refutation path.
 
 import pytest
 
-from repro.core.counterexample import find_round_trip_counterexample, quick_reject
+from repro.core.counterexample import (
+    GadgetImages,
+    find_round_trip_counterexample,
+    gadget_instances,
+    quick_reject,
+)
 from repro.core.lemmas import (
     check_lemma3,
     check_lemma4,
@@ -70,7 +75,10 @@ def test_e3_quick_reject_survivors(benchmark):
     """Genuine pairs must survive the gadget refuter (no false rejects)."""
 
     def run():
-        return [quick_reject(alpha, beta) for alpha, beta in PAIRS]
+        return [
+            quick_reject(GadgetImages(alpha, gadget_instances(alpha.source)), beta)
+            for alpha, beta in PAIRS
+        ]
 
     rejects = benchmark(run)
     assert not any(rejects)

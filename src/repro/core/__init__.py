@@ -36,7 +36,7 @@ from repro.core.lemmas import (
     check_theorem9,
 )
 from repro.core.counterexample import (
-    find_key_violation,
+    GadgetImages,
     find_round_trip_counterexample,
     gadget_instances,
     quick_reject,
@@ -81,6 +81,7 @@ __all__ = [
     "EquivalenceDecision",
     "EquivalenceSearchResult",
     "FailureStep",
+    "GadgetImages",
     "LemmaCheck",
     "NonEquivalenceExplanation",
     "Obstruction",
@@ -116,7 +117,6 @@ __all__ = [
     "enumerate_mappings",
     "enumerate_view_queries",
     "fd_holds_in_keyed_schema",
-    "find_key_violation",
     "find_round_trip_counterexample",
     "format_checks",
     "gadget_instances",

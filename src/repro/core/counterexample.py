@@ -10,11 +10,15 @@ returned instance genuinely breaks the round trip) but incomplete; the
 exact decision is :func:`repro.mappings.identity.composes_to_identity`.
 The bounded search (experiment E1) uses the gadgets to discard almost all
 candidates before paying for the exact chase-based check.
+
+Validity (§2) is not refuted here: the search decides it exactly
+(:func:`repro.mappings.validity.is_valid`) before any pair is formed, so
+a pointwise key-violation probe could never fire on a scanned pair.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.mappings.query_mapping import QueryMapping
 from repro.relational.generators import (
@@ -25,10 +29,6 @@ from repro.relational.generators import (
 )
 from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import DatabaseSchema
-from repro.utils import memo
-
-_GADGET_MEMO = memo.memo("gadget-instances", maxsize=1024)
-_KEY_VIOLATION_MEMO = memo.memo("key-violation", maxsize=8192)
 
 
 def gadget_instances(
@@ -36,7 +36,7 @@ def gadget_instances(
     avoid=frozenset(),
     random_trials: int = 4,
     seed: int = 0,
-) -> Iterator[DatabaseInstance]:
+) -> Tuple[DatabaseInstance, ...]:
     """The proof gadgets for ``schema``, cheapest first.
 
     1. the empty instance;
@@ -44,33 +44,52 @@ def gadget_instances(
     3. per key attribute, the Lemma 7 two-key-value instance and its g-swap;
     4. a few random key-satisfying instances.
 
-    The family is a pure function of its arguments and is memoized: a
-    dominance search re-derives the same gadgets for every candidate pair
-    over the same schema.
+    Every gadget satisfies the keys of ``schema``, and none uses a value
+    in ``avoid``.
     """
-    key = (schema, frozenset(avoid), random_trials, seed)
-    yield from _GADGET_MEMO.get_or_compute(
-        key, lambda: tuple(_build_gadgets(schema, avoid, random_trials, seed))
-    )
-
-
-def _build_gadgets(
-    schema: DatabaseSchema,
-    avoid,
-    random_trials: int,
-    seed: int,
-) -> Iterator[DatabaseInstance]:
-    yield DatabaseInstance(schema)
-    yield attribute_specific_instance(schema, rows_per_relation=1, avoid=avoid)
-    yield attribute_specific_instance(schema, rows_per_relation=2, avoid=avoid)
+    gadgets: List[DatabaseInstance] = [
+        DatabaseInstance(schema),
+        attribute_specific_instance(schema, rows_per_relation=1, avoid=avoid),
+        attribute_specific_instance(schema, rows_per_relation=2, avoid=avoid),
+    ]
     for key_attr in schema.key_qualified_attributes():
         gadget, k1, k2 = two_key_values(schema, key_attr, avoid=avoid)
-        yield gadget
-        yield g_swap(gadget, k1, k2)
+        gadgets += [gadget, g_swap(gadget, k1, k2)]
     for trial in range(random_trials):
         candidate = random_instance(schema, rows_per_relation=3, seed=seed + trial)
         if candidate.satisfies_keys():
-            yield candidate
+            gadgets.append(candidate)
+    return tuple(gadgets)
+
+
+class GadgetImages:
+    """α(d) for each gadget d of one family, each built when first needed.
+
+    A scan tests every β against the same α, and most β fail on an early
+    gadget: building the images lazily keeps that early exit, and keeping
+    them means α is applied to each gadget at most once per scan.
+    """
+
+    __slots__ = ("alpha", "gadgets", "_images")
+
+    def __init__(
+        self, alpha: QueryMapping, gadgets: Sequence[DatabaseInstance]
+    ) -> None:
+        self.alpha = alpha
+        self.gadgets = gadgets
+        self._images: List[DatabaseInstance] = []
+
+    def round_trip_counterexample(
+        self, beta: QueryMapping
+    ) -> Optional[DatabaseInstance]:
+        """The first gadget d with β(α(d)) ≠ d, or None."""
+        images = self._images
+        for index, gadget in enumerate(self.gadgets):
+            if index == len(images):
+                images.append(self.alpha.apply(gadget))
+            if beta.apply(images[index]) != gadget:
+                return gadget
+        return None
 
 
 def find_round_trip_counterexample(
@@ -80,65 +99,25 @@ def find_round_trip_counterexample(
     seed: int = 0,
 ) -> Optional[DatabaseInstance]:
     """A key-satisfying d with β(α(d)) ≠ d, from the gadget family, if any."""
-    avoid = alpha.constants() | beta.constants()
-    for instance in gadget_instances(
-        alpha.source, avoid=avoid, random_trials=random_trials, seed=seed
-    ):
-        if beta.apply(alpha.apply(instance)) != instance:
-            return instance
-    return None
-
-
-def find_key_violation(
-    mapping: QueryMapping,
-    random_trials: int = 4,
-    seed: int = 0,
-) -> Optional[DatabaseInstance]:
-    """A key-satisfying source instance whose image violates a target key.
-
-    Pointwise/incomplete; the exact test is
-    :func:`repro.mappings.validity.validity_report`.  Memoized per mapping:
-    ``quick_reject`` probes the same α against every candidate β (and vice
-    versa), and the verdict is pair-independent.
-    """
-    key = (mapping, random_trials, seed)
-    return _KEY_VIOLATION_MEMO.get_or_compute(
-        key, lambda: _find_key_violation(mapping, random_trials, seed)
+    gadgets = gadget_instances(
+        alpha.source,
+        avoid=alpha.constants() | beta.constants(),
+        random_trials=random_trials,
+        seed=seed,
     )
+    return GadgetImages(alpha, gadgets).round_trip_counterexample(beta)
 
 
-def _find_key_violation(
-    mapping: QueryMapping,
-    random_trials: int,
-    seed: int,
-) -> Optional[DatabaseInstance]:
-    avoid = mapping.constants()
-    for instance in gadget_instances(
-        mapping.source, avoid=avoid, random_trials=random_trials, seed=seed
-    ):
-        if not mapping.apply(instance).satisfies_keys():
-            return instance
-    return None
-
-
-def quick_reject(
-    alpha: QueryMapping,
-    beta: QueryMapping,
-    random_trials: int = 2,
-    seed: int = 0,
-) -> bool:
+def quick_reject(images: GadgetImages, beta: QueryMapping) -> bool:
     """True when the gadgets refute (α, β) as a dominance pair.
 
-    Checks validity of both mappings and the round trip, pointwise only.
+    ``images`` holds α and the gadget family to test with.  The scan
+    builds one family per source schema with nothing to avoid, which
+    assumes α and β are constant-free (as every enumerated mapping is).
+    It also assumes both mappings are exactly valid, and so does not look
+    for key violations: a gadget satisfies the source keys, and a valid
+    mapping sends every such instance to one satisfying the target keys.
+
     A ``False`` result means "survived the gadgets", not "verified".
     """
-    if find_key_violation(alpha, random_trials=random_trials, seed=seed) is not None:
-        return True
-    if find_key_violation(beta, random_trials=random_trials, seed=seed) is not None:
-        return True
-    return (
-        find_round_trip_counterexample(
-            alpha, beta, random_trials=random_trials, seed=seed
-        )
-        is not None
-    )
+    return images.round_trip_counterexample(beta) is not None

@@ -20,6 +20,10 @@ unboundedly many values a round trip must preserve.
 
 Candidate pairs are bulk-rejected by the gadget refuter
 (:mod:`repro.core.counterexample`) before the exact chase-based checks run.
+Work tied to one mapping is done once, not per pair: validity is decided
+exactly per candidate during enumeration, and the one pair loop
+(:func:`_chunk_scan_core`, shared by sequential, checkpointed and pooled
+scans) builds each α's gadget images once.
 
 Resilience (see ``docs/RESILIENCE.md``): every scan driver here accepts a
 whole-scan ``deadline`` and a per-pair ``pair_deadline`` (cooperative —
@@ -46,7 +50,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.counterexample import quick_reject
+from repro.core.counterexample import GadgetImages, gadget_instances, quick_reject
 from repro.cq import backends as _backends
 from repro.errors import DeadlineExceeded, MappingError
 from repro.mappings.dominance import DominancePair
@@ -371,15 +375,24 @@ def _chunk_scan_core(
     end: int,
     scan_deadline: Optional[Deadline],
     pair_budget: Optional[float],
+    on_progress: Optional[Callable[[int, int, str], None]] = None,
 ) -> _ChunkResult:
     """Scan pairs ``start..end`` (flat α-major indices) for a witness.
 
-    Stops at the chunk's first witness: chunks are contiguous ascending
+    This is the search's only pair loop: a sequential scan runs it once
+    over the whole grid, a chunked scan once per chunk.  The gadget family
+    is built once per call and each α's gadget images once per α (lazily,
+    see :class:`repro.core.counterexample.GadgetImages`), so a pair pays
+    only for β's side of the round trip.
+
+    Stops at the first witness: chunks are contiguous ascending
     slices, so the minimum reported index across chunks equals the
     sequential first-witness index, making N-worker results deterministic
     and identical to the 1-worker scan.  An expired ``scan_deadline``
     stops the scan and marks the chunk ``timed_out`` (a *foreign* expired
     deadline — some enclosing scope — propagates untouched).
+    ``on_progress`` (when given) receives ``(done, end, "")`` once up
+    front and then after every pair.
     """
     pairs_tried = 0
     gadget_rejected = 0
@@ -388,23 +401,32 @@ def _chunk_scan_core(
     witness: Optional[int] = None
     timed_out = False
     n_betas = len(betas)
+    if on_progress is not None:
+        on_progress(start, end, "")
     with _span("search.scan"), _deadline.deadline_scope(scan_deadline) as scope:
         try:
+            # Enumerated mappings are constant-free: no values to avoid.
+            gadgets = gadget_instances(alphas[0].source, random_trials=2)
+            images: Optional[GadgetImages] = None
             for flat in range(start, end):
                 _deadline.poll()
                 alpha = alphas[flat // n_betas]
                 beta = betas[flat % n_betas]
+                if images is None or images.alpha is not alpha:
+                    images = GadgetImages(alpha, gadgets)
                 pairs_tried += 1
-                if quick_reject(alpha, beta):
+                if quick_reject(images, beta):
                     gadget_rejected += 1
-                    continue
-                exact_checks += 1
-                hit, timed = _checked_pair(alpha, beta, pair_budget)
-                if timed:
-                    pair_timeouts += 1
-                    continue
-                if hit:
-                    witness = flat
+                else:
+                    exact_checks += 1
+                    hit, timed = _checked_pair(alpha, beta, pair_budget)
+                    if timed:
+                        pair_timeouts += 1
+                    elif hit:
+                        witness = flat
+                if on_progress is not None:
+                    on_progress(flat + 1, end, "")
+                if witness is not None:
                     break
         except DeadlineExceeded as exc:
             if scope is None or exc.deadline is not scope:
@@ -451,15 +473,17 @@ def _run_chunked_scan(
     checkpoint: Optional[_checkpoint.ScanCheckpoint],
     checkpoint_key: Tuple[int, ...],
     on_progress: Optional[Callable[[int, int, str], None]] = None,
-) -> Tuple[Optional[int], int, int, int, int, bool]:
+) -> _ChunkResult:
     """Drive the chunked (pool-backed, recoverable) pair-grid scan.
 
-    Returns ``(witness_flat_index, pairs_tried, gadget_rejected,
-    exact_checks, pair_timeouts, complete)``.  Chunks already present in
-    the checkpoint are not re-run; newly completed (non-timed-out) chunks
-    are journaled as they arrive.  ``on_progress`` (when given) is called
-    as ``(done_chunks, total_chunks, proc_label)`` — once up front with
-    the checkpoint-replayed count, then per settled chunk.
+    Returns the chunks' results folded into one: the first witness, the
+    summed counters, and ``timed_out`` when the scan did not finish (the
+    observability payloads are merged here, not returned).  Chunks
+    already present in the checkpoint are not re-run; newly completed
+    (non-timed-out) chunks are journaled as they arrive.  ``on_progress``
+    (when given) is called as ``(done_chunks, total_chunks, proc_label)``
+    — once up front with the checkpoint-replayed count, then per settled
+    chunk.
     """
     registry = _metrics.registry()
     results: Dict[int, _ChunkResult] = {}
@@ -536,14 +560,14 @@ def _run_chunked_scan(
     witness_indices = [
         r.witness_index for r in done if r.witness_index is not None
     ]
-    complete = map_result.complete and not any(r.timed_out for r in done)
-    return (
+    return _ChunkResult(
         min(witness_indices) if witness_indices else None,
         sum(r.pairs_tried for r in done),
         sum(r.gadget_rejected for r in done),
         sum(r.exact_checks for r in done),
-        sum(r.pair_timeouts for r in done),
-        complete,
+        {},
+        pair_timeouts=sum(r.pair_timeouts for r in done),
+        timed_out=not map_result.complete or any(r.timed_out for r in done),
     )
 
 
@@ -601,11 +625,7 @@ def search_dominance(
     scan_dl = _deadline.as_deadline(deadline, label="search")
     alphas: List[QueryMapping] = []
     betas: List[QueryMapping] = []
-    pairs_tried = 0
-    gadget_rejected = 0
-    exact_checks = 0
-    pair_timeouts = 0
-    witness_flat: Optional[int] = None
+    scan = _ChunkResult(None, 0, 0, 0, {})
     complete = True
     with _span("search.dominance"), _deadline.deadline_scope(scan_dl) as scope:
         try:
@@ -639,58 +659,36 @@ def search_dominance(
                 (n_workers > 1 and len(chunks) > 1) or checkpoint is not None
             )
             if use_chunks:
-                (
-                    witness_flat,
-                    pairs_tried,
-                    gadget_rejected,
-                    exact_checks,
-                    pair_timeouts,
-                    complete,
-                ) = _run_chunked_scan(
+                scan = _run_chunked_scan(
                     alphas, betas, chunks, n_workers, scan_dl, pair_deadline,
                     retry_policy, mp_context, checkpoint, checkpoint_key,
                     on_progress,
                 )
             elif total_pairs > 0:
-                with _span("search.scan"):
-                    if on_progress is not None:
-                        on_progress(0, total_pairs, "")
-                    for flat in range(total_pairs):
-                        _deadline.poll()
-                        alpha = alphas[flat // len(betas)]
-                        beta = betas[flat % len(betas)]
-                        pairs_tried += 1
-                        if quick_reject(alpha, beta):
-                            gadget_rejected += 1
-                        else:
-                            exact_checks += 1
-                            hit, timed = _checked_pair(alpha, beta, pair_deadline)
-                            if timed:
-                                pair_timeouts += 1
-                            elif hit:
-                                witness_flat = flat
-                        if on_progress is not None:
-                            on_progress(flat + 1, total_pairs, "")
-                        if witness_flat is not None:
-                            break
+                scan = _chunk_scan_core(
+                    alphas, betas, 0, total_pairs, scan_dl, pair_deadline,
+                    on_progress,
+                )
+            complete = not scan.timed_out
         except DeadlineExceeded as exc:
             if scope is None or exc.deadline is not scope:
                 raise
             complete = False
+        if not complete:
             _events.record_incident(
                 _events.timeout_event(scope.label, seconds=scope.budget)
             )
         witness: Optional[DominancePair] = None
-        if witness_flat is not None:
+        if scan.witness_index is not None:
             witness = DominancePair(
-                alphas[witness_flat // len(betas)],
-                betas[witness_flat % len(betas)],
+                alphas[scan.witness_index // len(betas)],
+                betas[scan.witness_index % len(betas)],
             )
         registry.counter("search.alpha_candidates").inc(len(alphas))
         registry.counter("search.beta_candidates").inc(len(betas))
-        registry.counter("search.pairs_tried").inc(pairs_tried)
-        registry.counter("search.gadget_rejected").inc(gadget_rejected)
-        registry.counter("search.exact_checks").inc(exact_checks)
+        registry.counter("search.pairs_tried").inc(scan.pairs_tried)
+        registry.counter("search.gadget_rejected").inc(scan.gadget_rejected)
+        registry.counter("search.exact_checks").inc(scan.exact_checks)
         if witness is not None:
             registry.counter("search.witnesses").inc()
     delta = _metrics.diff(counters_before, registry.snapshot())
@@ -699,11 +697,11 @@ def search_dominance(
         SearchStats(
             len(alphas),
             len(betas),
-            pairs_tried,
-            gadget_rejected,
-            exact_checks,
+            scan.pairs_tried,
+            scan.gadget_rejected,
+            scan.exact_checks,
             wall_time=time.perf_counter() - start_time,
-            pair_timeouts=pair_timeouts,
+            pair_timeouts=scan.pair_timeouts,
             **_stats_from_delta(delta),
         ),
         complete,

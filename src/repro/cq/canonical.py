@@ -25,7 +25,6 @@ from repro.obs.tracing import span as _span
 from repro.relational.domain import Value
 from repro.relational.instance import DatabaseInstance, RelationInstance, Row
 from repro.relational.schema import DatabaseSchema
-from repro.utils import memo
 
 NULL_MARKER = "¿null"
 
@@ -60,33 +59,20 @@ class CanonicalDatabase(NamedTuple):
     assignment: Dict[Variable, Value]
 
 
-_CANONICAL_MEMO = memo.memo("canonical-database", maxsize=8192)
-
-
 def canonical_database(
     query: ConjunctiveQuery, schema: DatabaseSchema
 ) -> Optional[CanonicalDatabase]:
     """Build the canonical database of ``query`` over ``schema``.
 
-    Returns ``None`` for queries with inconsistent equality lists.  Results
-    are memoized on the (query, schema) pair — both are immutable value
-    objects, and callers never mutate the returned structure.
+    Returns ``None`` for queries with inconsistent equality lists.  Not
+    memoized: in the search it runs behind the chased-canonical memo
+    (:mod:`repro.cq.containment_deps`), and a cache of it almost never hit.
     """
-    return _CANONICAL_MEMO.get_or_compute(
-        (query, schema), lambda: _build_canonical_database(query, schema)
-    )
+    with _span("canonical.build"):
+        return _build_canonical_database(query, schema)
 
 
 def _build_canonical_database(
-    query: ConjunctiveQuery, schema: DatabaseSchema
-) -> Optional[CanonicalDatabase]:
-    # The span wraps the build, not the memoized lookup, so the profile
-    # attributes only genuine construction work to this phase.
-    with _span("canonical.build"):
-        return _build_canonical_database_inner(query, schema)
-
-
-def _build_canonical_database_inner(
     query: ConjunctiveQuery, schema: DatabaseSchema
 ) -> Optional[CanonicalDatabase]:
     # The rewrite comes from the shared equality memo; checking

@@ -27,12 +27,11 @@ from repro.relational.domain import Value
 from repro.utils import memo
 from repro.utils.unionfind import UnionFind
 
-# Equality closures and general-form rewrites are pure functions of an
-# immutable query, recomputed for the same handful of queries thousands of
-# times per scan (evaluation, saturation, hypergraph analysis, plan
-# compilation all start from them).  Both caches share the keys' hashes
-# with the evaluate/canonical memos, so a warm scan pays one query hash.
-_STRUCTURE_MEMO = memo.memo("equality-structure", maxsize=8192)
+# General-form rewrites are pure functions of an immutable query,
+# recomputed for the same handful of queries thousands of times per scan
+# (evaluation, saturation, hypergraph analysis, plan compilation all start
+# from them).  The bare closure is not cached: it is built behind the
+# rewrite, type and plan memos, and a cache of it never hit.
 _SUBST_MEMO = memo.memo("equality-subst", maxsize=8192)
 
 
@@ -114,12 +113,8 @@ class EqualityStructure:
 
 
 def equality_structure(query: ConjunctiveQuery) -> EqualityStructure:
-    """The equality-class structure of ``query`` (memoized per query).
-
-    The returned structure is shared between callers; it must be treated
-    as read-only — in particular, never ``union`` through ``.uf``.
-    """
-    return _STRUCTURE_MEMO.get_or_compute(query, lambda: EqualityStructure(query))
+    """The equality-class structure of ``query``."""
+    return EqualityStructure(query)
 
 
 def substitute_representatives(

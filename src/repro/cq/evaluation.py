@@ -26,7 +26,6 @@ from typing import Dict, Optional
 
 from repro.cq import backends as _backends
 from repro.cq.backends.base import synthesize_view_schema
-from repro.cq.backends.plan import order_atoms as _order_atoms  # noqa: F401 - legacy API
 from repro.cq.syntax import ConjunctiveQuery
 from repro.obs import metrics as _metrics
 from repro.obs.tracing import span as _span

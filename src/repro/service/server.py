@@ -7,7 +7,8 @@ deadline — the smaller of the client's requested budget and the server's
 ``--deadline`` cap — which the search machinery converts into a
 structured ``timeout`` verdict; a hard ``asyncio.wait_for`` backstop
 (budget + grace) guarantees a well-formed timeout response even if a
-worker wedges, so a connection is never left hanging.
+worker wedges, so a connection is never left hanging.  A client that
+does not send its whole request in time gets a 408 and is closed.
 
 Connections are HTTP/1.1, one request each (``Connection: close``): the
 clients this serves are schema-registry hooks and CI probes, not
@@ -36,6 +37,9 @@ from repro.service.progress import ProgressBroker
 _MAX_BODY = 1 << 20  # 1 MiB: schema catalogs are tiny; refuse anything huge
 _MAX_HEADER = 64 * 1024
 _GRACE = 10.0  # seconds past the cooperative budget before the hard backstop
+# Seconds a client gets to send its whole request; an idle or stalled one
+# is answered 408 and closed instead of holding its connection forever.
+_READ_TIMEOUT = 10.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -185,17 +189,17 @@ class ServiceServer:
     ) -> None:
         try:
             try:
-                request = await _read_request(reader)
-            except _HttpError as exc:
-                writer.write(
-                    _response_bytes(
-                        exc.status,
-                        protocol.canonical_bytes(
-                            protocol.error_payload(exc.message)
-                        ),
-                    )
+                request = await asyncio.wait_for(
+                    _read_request(reader), _READ_TIMEOUT
                 )
-                await writer.drain()
+            except asyncio.TimeoutError:
+                message = f"no complete request within {_READ_TIMEOUT:g} s"
+                await self._send(writer, 408, protocol.error_payload(message))
+                return
+            except _HttpError as exc:
+                await self._send(
+                    writer, exc.status, protocol.error_payload(exc.message)
+                )
                 return
             if request is None:
                 return

@@ -1,9 +1,12 @@
 """Bounded, stats-carrying memoization caches.
 
 The hot paths of the dominance search recompute pure functions of
-immutable, hashable inputs — canonical databases, chased canonicals, key
-EGDs, gadget families, view answers — thousands of times per scan.  This
-module provides a small cache layer for them:
+immutable, hashable inputs — chased canonical databases, key EGDs,
+evaluation plans, inferred types, equality rewrites, view answers —
+thousands of times per scan.  (Work that repeats only because of how a
+loop is written is hoisted out of the loop instead, as the pair scan
+does with each α's gadget images; and a cache that does not pay for its
+hashing is deleted.)  This module provides a small cache layer for them:
 
 * :class:`Memo` — a bounded LRU cache with hit/miss/eviction counters
   (kept as ``cache.<name>.*`` metrics in :mod:`repro.obs.metrics`);

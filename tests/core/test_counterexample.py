@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.counterexample import (
-    find_key_violation,
+    GadgetImages,
     find_round_trip_counterexample,
     gadget_instances,
     quick_reject,
@@ -32,7 +32,8 @@ def test_gadget_instances_are_valid(two_relation_schema):
 def test_no_counterexample_for_genuine_pair(genuine_pair):
     alpha, beta = genuine_pair
     assert find_round_trip_counterexample(alpha, beta) is None
-    assert not quick_reject(alpha, beta)
+    images = GadgetImages(alpha, gadget_instances(alpha.source))
+    assert not quick_reject(images, beta)
 
 
 def test_counterexample_for_constant_padding():
@@ -43,7 +44,8 @@ def test_counterexample_for_constant_padding():
     found = find_round_trip_counterexample(alpha, beta)
     assert found is not None
     assert beta.apply(alpha.apply(found)) != found
-    assert quick_reject(alpha, beta)
+    gadgets = gadget_instances(s1, avoid=alpha.constants())
+    assert quick_reject(GadgetImages(alpha, gadgets), beta)
 
 
 def test_counterexample_for_cross_join_beta():
@@ -57,16 +59,19 @@ def test_counterexample_for_cross_join_beta():
     assert find_round_trip_counterexample(alpha, beta) is not None
 
 
-def test_key_violation_found():
-    s1, _ = parse_schema("A(a1*: T, a2: U)")
-    s2, _ = parse_schema("M(m1*: U, m2: T)")
-    bad = QueryMapping(s1, s2, {"M": parse_query("M(Y, X) :- A(X, Y).")})
-    found = find_key_violation(bad)
-    assert found is not None
-    assert found.satisfies_keys()
-    assert not bad.apply(found).satisfies_keys()
+def test_gadget_images_are_built_once_and_lazily(genuine_pair):
+    """α is applied to a gadget only when a β first reaches it, and once."""
+    alpha, beta = genuine_pair
+    calls = []
 
+    class CountingAlpha:
+        def apply(self, instance):
+            calls.append(instance)
+            return alpha.apply(instance)
 
-def test_key_violation_absent_for_valid(genuine_pair):
-    alpha, _ = genuine_pair
-    assert find_key_violation(alpha) is None
+    gadgets = gadget_instances(alpha.source)
+    images = GadgetImages(CountingAlpha(), gadgets)
+    assert calls == []
+    for _ in range(3):
+        assert images.round_trip_counterexample(beta) is None
+    assert calls == list(gadgets)

@@ -94,3 +94,133 @@ def test_theorem13_scan_consistency():
     assert len(rows) == 6  # unordered pairs incl. self-pairs
     assert all(row.consistent_with_theorem13 for row in rows)
     assert any(row.isomorphic and row.index1 != row.index2 for row in rows)
+
+
+# The E1 universe (type T, one relation, arity ≤ 2) at max_atoms=2: for
+# every ordered pair, (witness found, alpha_candidates, beta_candidates,
+# pairs_tried, pairs_gadget_rejected, exact_checks).  Any restructuring of
+# the pair scan must reproduce these exactly, on every scan path.
+E1_GOLDEN = {
+    (0, 0): (True, 4, 4, 1, 0, 1),
+    (0, 1): (True, 4, 40, 1, 0, 1),
+    (0, 2): (True, 6, 40, 1, 0, 1),
+    (1, 0): (False, 0, 0, 0, 0, 0),
+    (1, 1): (True, 66, 66, 135, 134, 1),
+    (1, 2): (False, 104, 40, 4160, 4160, 0),
+    (2, 0): (False, 0, 0, 0, 0, 0),
+    (2, 1): (False, 0, 0, 0, 0, 0),
+    (2, 2): (True, 104, 104, 211, 210, 1),
+}
+
+
+def _e1_schemas():
+    from repro.workloads import enumerate_keyed_schemas
+
+    return list(enumerate_keyed_schemas(["T"], max_relations=1, max_arity=2))
+
+
+def _golden_row(result):
+    stats = result.stats
+    return (
+        result.found,
+        stats.alpha_candidates,
+        stats.beta_candidates,
+        stats.pairs_tried,
+        stats.pairs_gadget_rejected,
+        stats.exact_checks,
+    )
+
+
+def _e1_grid(**kwargs):
+    schemas = _e1_schemas()
+    rows = {}
+    for i, s1 in enumerate(schemas):
+        for j, s2 in enumerate(schemas):
+            result = search_dominance(s1, s2, max_atoms=2, **kwargs)
+            assert result.complete
+            if result.found:
+                assert result.pair.holds()
+            rows[(i, j)] = _golden_row(result)
+    return rows
+
+
+def test_e1_golden_default():
+    assert _e1_grid() == E1_GOLDEN
+
+
+def test_e1_golden_baseline_oracle():
+    """Memo layer off, naive backend: the reference configuration."""
+    from repro.cq import backends
+    from repro.utils import memo
+
+    previous_memo = memo.set_enabled(False)
+    previous_backend = backends.set_default_backend("naive")
+    try:
+        assert _e1_grid() == E1_GOLDEN
+    finally:
+        backends.set_default_backend(previous_backend)
+        memo.set_enabled(previous_memo)
+
+
+def test_e1_golden_checkpointed(tmp_path):
+    """One checkpointed chunk per direction scans the same pairs."""
+    from repro.resilience.checkpoint import ScanCheckpoint
+
+    schemas = _e1_schemas()
+    rows = {}
+    for i, s1 in enumerate(schemas):
+        for j, s2 in enumerate(schemas):
+            checkpoint = ScanCheckpoint.open(
+                tmp_path / f"{i}-{j}.jsonl", {"cell": [i, j]}
+            )
+            result = search_dominance(s1, s2, max_atoms=2, checkpoint=checkpoint)
+            assert result.complete
+            rows[(i, j)] = _golden_row(result)
+            if E1_GOLDEN[(i, j)][3]:
+                assert len(checkpoint) == 1
+    assert rows == E1_GOLDEN
+
+
+def test_e1_golden_per_pair_progress():
+    """Sequential scans report progress once up front, then per pair."""
+    schemas = _e1_schemas()
+    for (i, j), golden in E1_GOLDEN.items():
+        updates = []
+        result = search_dominance(
+            schemas[i], schemas[j], max_atoms=2,
+            on_progress=lambda done, total, proc: updates.append((done, total)),
+        )
+        assert _golden_row(result) == golden
+        pairs_tried = golden[3]
+        if pairs_tried == 0:
+            assert updates == []
+            continue
+        total = golden[1] * golden[2]
+        assert updates == [(k, total) for k in range(pairs_tried + 1)]
+
+
+def test_deadline_inside_the_pair_loop_keeps_counts_and_records_timeout():
+    """A whole-search deadline that expires mid-scan ends the search
+    incomplete: the pairs scanned so far stay counted, and one timeout
+    incident names the search scope."""
+    from repro.obs import events
+    from repro.resilience.deadline import Deadline
+
+    schemas = _e1_schemas()
+    scan_deadline = Deadline(600.0, label="search")
+
+    def expire_after_three_pairs(done, total, proc):
+        if done == 3:
+            scan_deadline._expires_at = 0.0  # expire now, deterministically
+
+    events.drain_incidents()
+    result = search_dominance(
+        schemas[1], schemas[2], max_atoms=2, deadline=scan_deadline,
+        on_progress=expire_after_three_pairs,
+    )
+    assert not result.complete
+    assert not result.found
+    assert result.stats.pairs_tried == 3
+    assert result.stats.pairs_gadget_rejected == 3
+    timeouts = [e for e in events.drain_incidents() if e["type"] == "timeout"]
+    assert [e["scope"] for e in timeouts] == ["search"]

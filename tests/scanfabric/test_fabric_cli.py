@@ -236,12 +236,16 @@ def test_clean_three_worker_fleet_stitches_to_three_swimlanes(tmp_path):
     # losslessly through spans_from_chrome.
     worker_args = SCAN_ARGS + ["--fabric", "fab", "--shard-cells", "2",
                                "--lease-ttl", "5.0"]
+    # Every cell is paced by a short injected delay, so that no worker can
+    # drain the fabric before the last one has started: the lease
+    # assertions below need all three workers to own shards.
+    pace = FaultPlan([rule("fabric.cell", "delay", delay=0.25)], install_pid=0)
     procs = [
         subprocess.Popen(
             [sys.executable, "-m", "repro", *worker_args,
              "--fabric-owner", f"w-{i}"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=_env(), cwd=tmp_path,
+            env=_env({faults.ENV_VAR: pace.as_json()}), cwd=tmp_path,
         )
         for i in range(3)
     ]

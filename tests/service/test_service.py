@@ -206,3 +206,39 @@ def test_sse_events_stream(client, service):
         assert b'"kind":"dominance"' in buffered
     finally:
         conn.close()
+
+
+def _read_until_closed(conn) -> bytes:
+    received = b""
+    while True:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return received
+        received += chunk
+
+
+def test_idle_and_stalled_clients_get_408_and_are_closed(monkeypatch):
+    """A client that sends nothing, or half a request head, is answered
+    408 and closed once the read bound passes; the server keeps serving."""
+    import time
+
+    from repro.engine import EngineConfig
+    from repro.service import ServiceConfig, ServiceThread, server
+    from .conftest import Client
+
+    monkeypatch.setattr(server, "_READ_TIMEOUT", 0.5)
+    thread = ServiceThread(EngineConfig(max_atoms=1), ServiceConfig(port=0))
+    with thread:
+        for sent in (b"", b"POST /v1/equivalence HTTP/1.1\r\nHost: t\r\n"):
+            conn = socket.create_connection(("127.0.0.1", thread.port), timeout=10)
+            try:
+                started = time.monotonic()
+                conn.sendall(sent)
+                response = _read_until_closed(conn)
+                elapsed = time.monotonic() - started
+            finally:
+                conn.close()
+            assert response.startswith(b"HTTP/1.1 408 ")
+            assert "error" in json.loads(response.split(b"\r\n\r\n", 1)[1])
+            assert 0.4 <= elapsed < 5.0
+            assert Client(thread.port).get("/healthz")[0] == 200
