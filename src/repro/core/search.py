@@ -20,10 +20,14 @@ unboundedly many values a round trip must preserve.
 
 Candidate pairs are bulk-rejected by the gadget refuter
 (:mod:`repro.core.counterexample`) before the exact chase-based checks run.
-Work tied to one mapping is done once, not per pair: validity is decided
-exactly per candidate during enumeration, and the one pair loop
+Work tied to one mapping is done once per cell, not per pair or per
+direction: validity is decided exactly per candidate during enumeration,
+and an equivalence cell enumerates and validates each direction's
+candidates once for both of its searches (:func:`_valid_mappings`; a self
+cell's one list serves as α and β).  The one pair loop
 (:func:`_chunk_scan_core`, shared by sequential, checkpointed and pooled
-scans) builds each α's gadget images once.
+scans) builds each α's gadget images once and evaluates each β once per
+distinct image.
 
 Resilience (see ``docs/RESILIENCE.md``): every scan driver here accepts a
 whole-scan ``deadline`` and a per-pair ``pair_deadline`` (cooperative —
@@ -50,7 +54,12 @@ from typing import (
     Tuple,
 )
 
-from repro.core.counterexample import GadgetImages, gadget_instances, quick_reject
+from repro.core.counterexample import (
+    GadgetImages,
+    VerdictTable,
+    gadget_instances,
+    quick_reject,
+)
 from repro.cq import backends as _backends
 from repro.errors import DeadlineExceeded, MappingError
 from repro.mappings.dominance import DominancePair
@@ -382,8 +391,10 @@ def _chunk_scan_core(
     This is the search's only pair loop: a sequential scan runs it once
     over the whole grid, a chunked scan once per chunk.  The gadget family
     is built once per call and each α's gadget images once per α (lazily,
-    see :class:`repro.core.counterexample.GadgetImages`), so a pair pays
-    only for β's side of the round trip.
+    see :class:`repro.core.counterexample.GadgetImages`), and one
+    :class:`repro.core.counterexample.VerdictTable` per call keeps β's
+    verdict on each image: a pair pays only for β's side of the round
+    trip, and nothing when an earlier α already produced the same images.
 
     Stops at the first witness: chunks are contiguous ascending
     slices, so the minimum reported index across chunks equals the
@@ -407,13 +418,14 @@ def _chunk_scan_core(
         try:
             # Enumerated mappings are constant-free: no values to avoid.
             gadgets = gadget_instances(alphas[0].source, random_trials=2)
+            table = VerdictTable(gadgets, betas)
             images: Optional[GadgetImages] = None
             for flat in range(start, end):
                 _deadline.poll()
                 alpha = alphas[flat // n_betas]
                 beta = betas[flat % n_betas]
                 if images is None or images.alpha is not alpha:
-                    images = GadgetImages(alpha, gadgets)
+                    images = GadgetImages(alpha, gadgets, table)
                 pairs_tried += 1
                 if quick_reject(images, beta):
                     gadget_rejected += 1
@@ -617,6 +629,68 @@ def search_dominance(
     updates — per chunk on the chunked path, per pair on the sequential
     one — sized for :class:`repro.obs.progress.ProgressReporter.update`.
     """
+    return _search_dominance(
+        s1, s2, {}, max_atoms, per_relation_cap, mapping_cap, n_workers,
+        deadline, pair_deadline, retry_policy, mp_context, checkpoint,
+        checkpoint_key, on_progress,
+    )
+
+
+# One cell's exactly valid candidate lists, keyed by (source, target).
+_ValidLists = Dict[Tuple[DatabaseSchema, DatabaseSchema], List[QueryMapping]]
+
+
+def _valid_mappings(
+    valid: _ValidLists,
+    source: DatabaseSchema,
+    target: DatabaseSchema,
+    max_atoms: int,
+    per_relation_cap: Optional[int],
+    mapping_cap: Optional[int],
+    into: List[QueryMapping],
+) -> List[QueryMapping]:
+    """The exactly valid candidates source → target, enumerated once per cell.
+
+    ``valid`` holds the lists one cell has built so far, keyed by
+    direction, so the backward search of an equivalence cell reuses the
+    forward search's lists and a self cell's single list serves as both
+    α and β.  A new list is built in ``into`` and stored only once its
+    enumeration has finished: a deadline that cuts it short leaves
+    nothing partial behind, while the caller still counts what ``into``
+    holds.
+    """
+    key = (source, target)
+    if key in valid:
+        return valid[key]
+    for m in enumerate_mappings(
+        source, target, max_atoms=max_atoms,
+        per_relation_cap=per_relation_cap, total_cap=mapping_cap,
+    ):
+        _deadline.poll()
+        if is_valid(m):
+            into.append(m)
+    valid[key] = into
+    return into
+
+
+def _search_dominance(
+    s1: DatabaseSchema,
+    s2: DatabaseSchema,
+    valid: _ValidLists,
+    max_atoms: int,
+    per_relation_cap: Optional[int],
+    mapping_cap: Optional[int],
+    n_workers: int,
+    deadline: _deadline.DeadlineLike,
+    pair_deadline: Optional[float],
+    retry_policy: Optional[RetryPolicy],
+    mp_context,
+    checkpoint: Optional[_checkpoint.ScanCheckpoint],
+    checkpoint_key: Tuple[int, ...],
+    on_progress: Optional[Callable[[int, int, str], None]],
+) -> DominanceSearchResult:
+    """:func:`search_dominance`, taking its candidate lists from ``valid``
+    (see :func:`_valid_mappings`)."""
     from repro.core.obstructions import dominance_obstructions
 
     registry = _metrics.registry()
@@ -639,20 +713,14 @@ def search_dominance(
                     ),
                 )
             with _span("search.enumerate"):
-                for m in enumerate_mappings(
-                    s1, s2, max_atoms=max_atoms,
-                    per_relation_cap=per_relation_cap, total_cap=mapping_cap,
-                ):
-                    _deadline.poll()
-                    if is_valid(m):
-                        alphas.append(m)
-                for m in enumerate_mappings(
-                    s2, s1, max_atoms=max_atoms,
-                    per_relation_cap=per_relation_cap, total_cap=mapping_cap,
-                ):
-                    _deadline.poll()
-                    if is_valid(m):
-                        betas.append(m)
+                alphas = _valid_mappings(
+                    valid, s1, s2, max_atoms, per_relation_cap, mapping_cap,
+                    alphas,
+                )
+                betas = _valid_mappings(
+                    valid, s2, s1, max_atoms, per_relation_cap, mapping_cap,
+                    betas,
+                )
             total_pairs = len(alphas) * len(betas)
             chunks = _chunk_ranges(total_pairs, max(n_workers, 1))
             use_chunks = total_pairs > 0 and (
@@ -772,27 +840,26 @@ def search_equivalence(
 ) -> EquivalenceSearchResult:
     """Bounded search for equivalence witnesses in both directions.
 
-    The backward search only runs when the forward one succeeds.  Both
-    directions share one ``deadline`` budget; with a ``checkpoint`` the
-    directions journal under distinct key prefixes (0 forward, 1
-    backward).
+    The backward search only runs when the forward one succeeds, and it
+    reuses the forward search's candidate lists (valid s2 → s1 as α,
+    valid s1 → s2 as β): each direction's candidates are enumerated and
+    validated once per cell.  Both directions share one ``deadline``
+    budget; with a ``checkpoint`` the directions journal under distinct
+    key prefixes (0 forward, 1 backward).
     """
     shared_dl = _deadline.as_deadline(deadline, label="search")
-    forward = search_dominance(
-        s1, s2, max_atoms=max_atoms,
-        per_relation_cap=per_relation_cap, mapping_cap=mapping_cap,
-        n_workers=n_workers, deadline=shared_dl, pair_deadline=pair_deadline,
-        retry_policy=retry_policy, mp_context=mp_context,
-        checkpoint=checkpoint, checkpoint_key=(0,),
+    valid: _ValidLists = {}
+    forward = _search_dominance(
+        s1, s2, valid, max_atoms, per_relation_cap, mapping_cap, n_workers,
+        shared_dl, pair_deadline, retry_policy, mp_context, checkpoint, (0,),
+        None,
     )
     if not forward.found:
         return EquivalenceSearchResult(forward, None)
-    backward = search_dominance(
-        s2, s1, max_atoms=max_atoms,
-        per_relation_cap=per_relation_cap, mapping_cap=mapping_cap,
-        n_workers=n_workers, deadline=shared_dl, pair_deadline=pair_deadline,
-        retry_policy=retry_policy, mp_context=mp_context,
-        checkpoint=checkpoint, checkpoint_key=(1,),
+    backward = _search_dominance(
+        s2, s1, valid, max_atoms, per_relation_cap, mapping_cap, n_workers,
+        shared_dl, pair_deadline, retry_policy, mp_context, checkpoint, (1,),
+        None,
     )
     return EquivalenceSearchResult(forward, backward)
 

@@ -42,10 +42,11 @@ class EqualityStructure:
     ``constant_of`` maps each class representative to the unique constant
     the class is pinned to, when any.  ``inconsistent`` is true when some
     class contains two distinct constants — such a query returns the empty
-    answer on every database.
+    answer on every database.  Each class's least-named variable is found
+    in the same single pass, so :meth:`resolve` is a lookup.
     """
 
-    __slots__ = ("uf", "_constants", "inconsistent")
+    __slots__ = ("uf", "_constants", "_least", "inconsistent")
 
     def __init__(self, query: ConjunctiveQuery) -> None:
         self.uf: UnionFind = UnionFind()
@@ -56,14 +57,19 @@ class EqualityStructure:
         for left, right in query.equalities:
             self.uf.union(left, right)
         self._constants: Dict[Term, Value] = {}
+        self._least: Dict[Term, Variable] = {}
         self.inconsistent = False
         for term in list(self.uf):
+            rep = self.uf.find(term)
             if isinstance(term, Constant):
-                rep = self.uf.find(term)
                 existing = self._constants.get(rep)
                 if existing is not None and existing != term.value:
                     self.inconsistent = True
                 self._constants[rep] = term.value
+            else:
+                least = self._least.get(rep)
+                if least is None or term.name < least.name:
+                    self._least[rep] = term
 
     def representative(self, term: Term) -> Term:
         """The canonical representative of ``term``'s equality class."""
@@ -100,16 +106,13 @@ class EqualityStructure:
         classes are made deterministic by choosing the lexicographically
         least variable).
         """
-        pinned = self.constant_of(term)
-        if pinned is not None:
-            return Constant(pinned)
         if isinstance(term, Constant):
             return term
-        cls_vars = sorted(
-            (t for t in self.uf.class_of(term) if isinstance(t, Variable)),
-            key=lambda v: v.name,
-        )
-        return cls_vars[0] if cls_vars else term
+        rep = self.uf.find(term)
+        pinned = self._constants.get(rep)
+        if pinned is not None:
+            return Constant(pinned)
+        return self._least.get(rep, term)
 
 
 def equality_structure(query: ConjunctiveQuery) -> EqualityStructure:

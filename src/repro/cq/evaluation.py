@@ -9,9 +9,9 @@ the hash joins).  This module is the single entry point that:
 * resolves the view scheme and the backend (explicit argument, else the
   process default — CLI ``--backend`` / ``REPRO_BACKEND`` / ``auto``);
 * memoizes answers per ``(query, instance, view schema, backend)`` —
-  the dominance search's gadget refuter applies the same views to the
-  same tiny instances for every candidate pair, and the backend name in
-  the key keeps differential runs honest;
+  the same views meet the same tiny gadget instances again in later
+  scans, cells and service requests of one process, and the backend
+  name in the key keeps differential runs honest;
 * attributes the real work to per-backend ``evaluate.<name>`` spans and
   counts dispatches (``backend.dispatch.<name>``), so profiles and the
   dashboard show where each backend's time goes.
@@ -44,9 +44,13 @@ __all__ = [
 # the cache (retaining them is too expensive).  The key carries the
 # *requested* backend name, not the routed one: routing is deterministic
 # per query, so the requested name already determines the answer's
-# producer, and a memo hit then skips routing entirely — the E1 gadget
-# refuter replays the same (view, tiny instance) pairs thousands of
-# times, and the hit path must stay a single dict probe.
+# producer, and a memo hit then skips routing entirely, so the hit path
+# stays a single dict probe.  Within one scan the pair loop no longer
+# repeats a question (each α image is built once, and each β verdict on
+# it is kept for the scan); the repeats this memo answers come across
+# scans and requests of one process: the cells of a universe share
+# gadgets and views, and a warm repeat of a scan or a service question
+# asks them all again.
 _EVAL_MEMO = memo.memo("evaluate", maxsize=16384)
 _EVAL_CACHE_MAX_ROWS = 2048
 

@@ -13,7 +13,12 @@ EGDs, and check whether every non-key column pair was forced equal.
 Soundness and completeness follow from the universal property of the
 (terminating, EGD-only) chase; a surviving disagreement instantiates to a
 concrete key-satisfying source instance on which the view violates the
-target key, which is returned as the counterexample.
+target key, which is returned as the counterexample.  A target relation
+whose attributes are all key has a trivial dependency and needs no chase.
+
+The bounded search (:mod:`repro.core.search`) decides validity once per
+candidate mapping and cell, before any pair is formed; its gadget
+refuter only tests round trips.
 
 A randomized falsifier over random key-satisfying instances is provided as
 an independent cross-check (used in tests and experiment E3).
@@ -81,8 +86,13 @@ def check_view_key(
     view_relation: RelationSchema,
     source_egds: Sequence[FDEgd],
 ) -> RelationValidity:
-    """Exact check that the view's answers always satisfy the relation key."""
-    if not view_relation.is_keyed:
+    """Exact check that the view's answers always satisfy the relation key.
+
+    An unkeyed relation has no dependency to keep, and an all-key
+    relation's dependency K → (no attributes) is trivial: both hold
+    without a chase.
+    """
+    if not view_relation.is_keyed or not view_relation.nonkey_positions():
         return RelationValidity(view_relation.name, True, None)
     paired = _paired_query(query, view_relation)
     chased = chased_canonical(paired, source_schema, source_egds)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.counterexample import (
     GadgetImages,
+    VerdictTable,
     find_round_trip_counterexample,
     gadget_instances,
     quick_reject,
@@ -75,3 +76,24 @@ def test_gadget_images_are_built_once_and_lazily(genuine_pair):
     for _ in range(3):
         assert images.round_trip_counterexample(beta) is None
     assert calls == list(gadgets)
+
+
+def test_verdict_table_tests_beta_once_per_image(genuine_pair):
+    """Two α with the same images share β's verdicts: β is applied to
+    each image once, and only to images some pair reached."""
+    alpha, beta = genuine_pair
+    applied = []
+
+    class CountingBeta:
+        def apply(self, instance):
+            applied.append(instance)
+            return beta.apply(instance)
+
+    counting = CountingBeta()
+    twin = QueryMapping(alpha.source, alpha.target, alpha.queries())
+    gadgets = gadget_instances(alpha.source)
+    table = VerdictTable(gadgets, [counting])
+    assert applied == []
+    for a in (alpha, twin, alpha):
+        assert not quick_reject(GadgetImages(a, gadgets, table), counting)
+    assert applied == [alpha.apply(g) for g in gadgets]

@@ -224,3 +224,112 @@ def test_deadline_inside_the_pair_loop_keeps_counts_and_records_timeout():
     assert result.stats.pairs_gadget_rejected == 3
     timeouts = [e for e in events.drain_incidents() if e["type"] == "timeout"]
     assert [e["scope"] for e in timeouts] == ["search"]
+
+
+def _valid_mappings(source, target, max_atoms):
+    from repro.core.search import enumerate_mappings
+    from repro.mappings.validity import is_valid
+
+    return [
+        m for m in enumerate_mappings(source, target, max_atoms=max_atoms)
+        if is_valid(m)
+    ]
+
+
+@pytest.mark.parametrize(
+    "types, cell, max_atoms",
+    [
+        (["T"], (1, 1), 2),
+        (["T"], (1, 2), 2),
+        (["T"], (2, 2), 2),
+        (["T", "U"], (6, 6), 1),
+    ],
+)
+def test_exact_checks_are_the_pairs_the_gadgets_cannot_refute(
+    monkeypatch, types, cell, max_atoms
+):
+    """Per-pair differential: with every exact check answering "not a
+    witness", the scan covers its whole grid, and the pairs it sends to
+    the exact check are exactly those on which the stand-alone gadget
+    refuter finds no counterexample."""
+    from repro.core import search as search_module
+    from repro.core.counterexample import find_round_trip_counterexample
+    from repro.workloads import enumerate_keyed_schemas
+
+    schemas = list(enumerate_keyed_schemas(types, max_relations=1, max_arity=2))
+    s1, s2 = schemas[cell[0]], schemas[cell[1]]
+    alphas = _valid_mappings(s1, s2, max_atoms)
+    betas = _valid_mappings(s2, s1, max_atoms)
+    alpha_index = {m: k for k, m in enumerate(alphas)}
+    beta_index = {m: k for k, m in enumerate(betas)}
+    checked = []
+
+    def record(alpha, beta, pair_budget):
+        checked.append((alpha_index[alpha], beta_index[beta]))
+        return False, False
+
+    monkeypatch.setattr(search_module, "_checked_pair", record)
+    result = search_dominance(s1, s2, max_atoms=max_atoms)
+    assert result.complete and not result.found
+    assert result.stats.pairs_tried == len(alphas) * len(betas)
+    assert len(checked) == len(set(checked)) == result.stats.exact_checks
+    survivors = {
+        (a, b)
+        for a, alpha in enumerate(alphas)
+        for b, beta in enumerate(betas)
+        if find_round_trip_counterexample(alpha, beta, random_trials=2) is None
+    }
+    assert set(checked) == survivors
+
+
+@pytest.mark.parametrize("cell", [(1, 1), (0, 1), "renamed"])
+def test_equivalence_cell_validates_each_candidate_once(monkeypatch, cell):
+    """An equivalence cell decides validity once per raw candidate of each
+    direction: the backward search reuses the forward search's lists, and
+    a self cell's one list serves as both α and β."""
+    from repro.core import search as search_module
+
+    schemas = _e1_schemas()
+    if cell == "renamed":
+        s1, s2 = schemas[1], parse_schema("P(x*: T, y: T)")[0]
+    else:
+        s1, s2 = schemas[cell[0]], schemas[cell[1]]
+    raw = len(list(enumerate_mappings(s1, s2, max_atoms=2)))
+    if s1 != s2:
+        raw += len(list(enumerate_mappings(s2, s1, max_atoms=2)))
+    calls = []
+    real_is_valid = search_module.is_valid
+    monkeypatch.setattr(
+        search_module, "is_valid", lambda m: calls.append(m) or real_is_valid(m)
+    )
+    result = search_equivalence(s1, s2, max_atoms=2)
+    assert result.found == (cell != (0, 1))
+    assert len(calls) == raw
+
+
+def test_a_cut_enumeration_keeps_no_partial_list(monkeypatch):
+    """A deadline that fires while one direction's candidates are being
+    validated leaves no list behind for the other direction to reuse."""
+    from repro.core import search as search_module
+    from repro.errors import DeadlineExceeded
+    from repro.resilience import deadline as deadline_module
+    from repro.resilience.deadline import Deadline
+
+    s1 = _e1_schemas()[1]
+    scan_deadline = Deadline(600.0, label="search")
+    calls = []
+    real_is_valid = search_module.is_valid
+
+    def expire_after_three(m):
+        calls.append(m)
+        if len(calls) == 3:
+            scan_deadline._expires_at = 0.0
+        return real_is_valid(m)
+
+    monkeypatch.setattr(search_module, "is_valid", expire_after_three)
+    valid, found = {}, []
+    with pytest.raises(DeadlineExceeded):
+        with deadline_module.deadline_scope(scan_deadline):
+            search_module._valid_mappings(valid, s1, s1, 2, None, None, found)
+    assert valid == {}
+    assert len(found) == sum(map(real_is_valid, calls[:3]))

@@ -1,5 +1,7 @@
 """Unit tests for equality classes (paper §2)."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.cq.equality import (
     EqualityStructure,
     equality_structure,
@@ -90,3 +92,35 @@ def test_induced_equalities_full_closure():
         frozenset({"X", "Y"}),
         frozenset({"A", "Y"}),
     }
+
+
+def _least_variable_rule(structure, term):
+    """The representative rule ``resolve`` used to apply term by term:
+    a pinned constant, else the least-named variable of the full class."""
+    pinned = structure.constant_of(term)
+    if pinned is not None:
+        return Constant(pinned)
+    if isinstance(term, Constant):
+        return term
+    cls_vars = sorted(
+        (t for t in structure.uf.class_of(term) if isinstance(t, Variable)),
+        key=lambda v: v.name,
+    )
+    return cls_vars[0] if cls_vars else term
+
+
+_VARIABLES = [Variable(name) for name in ("X", "X2", "X10", "Y", "_w0", "a")]
+_CONSTANTS = [Constant(Value("T", token)) for token in (1, 2)]
+_TERMS = st.sampled_from(_VARIABLES + _CONSTANTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TERMS, _TERMS), max_size=8))
+def test_resolve_matches_the_least_variable_rule(equalities):
+    from repro.cq.syntax import Atom, ConjunctiveQuery
+
+    body = [Atom("R", (v, v)) for v in _VARIABLES]
+    query = ConjunctiveQuery(Atom("Q", (_VARIABLES[0],)), body, equalities)
+    fast, reference = equality_structure(query), equality_structure(query)
+    for term in _VARIABLES + _CONSTANTS + [Variable("unseen")]:
+        assert fast.resolve(term) == _least_variable_rule(reference, term)

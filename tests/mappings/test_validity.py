@@ -125,3 +125,32 @@ def test_per_relation_report(s1):
     assert not report.valid
     assert report.per_relation["Good"].holds
     assert not report.per_relation["Bad"].holds
+
+
+@pytest.mark.parametrize("max_arity", [2, 3])
+def test_all_key_view_holds_without_a_chase(max_arity):
+    """A relation whose attributes are all key has a trivial dependency:
+    every view into it is valid, and deciding that runs no chase."""
+    from repro.core.search import enumerate_view_queries
+    from repro.cq.chase import egds_of_schema
+    from repro.mappings.validity import check_view_key
+    from repro.utils import memo
+    from repro.workloads import enumerate_keyed_schemas
+
+    schemas = list(
+        enumerate_keyed_schemas(["T"], max_relations=1, max_arity=max_arity)
+    )
+    all_key = [r for s in schemas for r in s if not r.nonkey_positions()]
+    assert len(all_key) == max_arity
+    memo.clear_all()  # a cached chase would hide one that still ran
+    misses_before = memo.all_stats()["chased-canonical"]["misses"]
+    checked = 0
+    for source in schemas:
+        egds = egds_of_schema(source)
+        for relation in all_key:
+            for query in enumerate_view_queries(source, relation, max_atoms=2):
+                verdict = check_view_key(query, source, relation, egds)
+                assert verdict == (relation.name, True, None)
+                checked += 1
+    assert checked
+    assert memo.all_stats()["chased-canonical"]["misses"] == misses_before
